@@ -30,7 +30,9 @@ Exit status (documented for CI gating):
   ``lint``) error-severity findings / unresolvable target;
 - 2 — the run or analysis itself succeeded but found problems: ``debug``
   captured constraint violations, ``lint`` produced warning-severity
-  findings only, or ``san`` observed a delivery-order divergence.
+  findings only, or ``san`` observed a delivery-order divergence; also
+  ``run``/``debug``/``san``/``chaos`` when the engine refuses the
+  configuration (one ``error:`` line, e.g. ``--store spill --columnar``).
 """
 
 import argparse
@@ -52,6 +54,7 @@ from repro.algorithms import (
     TriangleCount,
 )
 from repro.bench import render_table
+from repro.common.errors import PregelError
 from repro.datasets import (
     DEMO_DATASETS,
     PERF_DATASETS,
@@ -63,7 +66,7 @@ from repro.datasets import (
 )
 from repro.graft import DebugConfig, debug_run
 from repro.graph import compute_stats, to_undirected, validate_graph
-from repro.pregel import EXECUTOR_NAMES, run_computation
+from repro.pregel import EXECUTOR_NAMES, PregelEngine
 
 
 def _algorithm_registry():
@@ -189,6 +192,13 @@ def _engine_kwargs(args, registry_kwargs):
     return kwargs
 
 
+def _engine_error(exc, out):
+    """A PregelError raised while building the engine (a configuration the
+    engine refuses) is a usage error: one line, exit 2, no traceback."""
+    out(f"error: {exc}")
+    return 2
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -232,12 +242,17 @@ def cmd_run(args, out):
     registry = _algorithm_registry()
     description, factory_builder, kwargs_builder = registry[args.algorithm]
     graph = _build_graph(args)
+    try:
+        engine = PregelEngine(
+            factory_builder(args), graph,
+            **_engine_kwargs(args, kwargs_builder(args)),
+        )
+    except PregelError as exc:
+        return _engine_error(exc, out)
     out(f"running {args.algorithm} ({description}) on {args.dataset} "
         f"[{graph.num_vertices} vertices, {graph.num_edges} directed edges] "
         f"executor={args.executor} workers={args.workers}")
-    result = run_computation(
-        factory_builder(args), graph, **_engine_kwargs(args, kwargs_builder(args))
-    )
+    result = engine.run()
     out(result.summary())
     if args.show_values:
         for vertex_id in list(result.vertex_values)[: args.show_values]:
@@ -347,14 +362,19 @@ def cmd_debug(args, out):
     except FaultPlanError as exc:
         out(f"debug: {exc}")
         return 1
-    run = debug_run(
-        factory_builder(args),
-        graph,
-        _config_for(args),
-        strict=args.strict,
-        **chaos_kwargs,
-        **_engine_kwargs(args, kwargs_builder(args)),
-    )
+    try:
+        # debug_run reports run-time failures on the result, so a
+        # PregelError escaping it was raised while building the engine.
+        run = debug_run(
+            factory_builder(args),
+            graph,
+            _config_for(args),
+            strict=args.strict,
+            **chaos_kwargs,
+            **_engine_kwargs(args, kwargs_builder(args)),
+        )
+    except PregelError as exc:
+        return _engine_error(exc, out)
     out(run.summary())
     superstep_stats = run.superstep_stats()
     if any(s.store_bytes_spilled or s.store_bytes_loaded
@@ -584,16 +604,19 @@ def cmd_chaos(args, out):
     out(f"chaos-running {args.algorithm} ({description}) on {args.dataset} "
         f"[{graph.num_vertices} vertices] under plan {plan.name!r} "
         f"executor={args.executor} workers={args.workers}")
-    report = run_chaos(
-        factory_builder(args),
-        graph,
-        plan,
-        seed=kwargs.pop("seed"),
-        num_workers=kwargs.pop("num_workers"),
-        executor=kwargs.pop("executor"),
-        checkpoint_every=args.checkpoint_every,
-        **kwargs,
-    )
+    try:
+        report = run_chaos(
+            factory_builder(args),
+            graph,
+            plan,
+            seed=kwargs.pop("seed"),
+            num_workers=kwargs.pop("num_workers"),
+            executor=kwargs.pop("executor"),
+            checkpoint_every=args.checkpoint_every,
+            **kwargs,
+        )
+    except PregelError as exc:
+        return _engine_error(exc, out)
     if args.format == "json":
         out(json.dumps(report.to_dict(), indent=2, default=repr))
     else:
@@ -613,15 +636,18 @@ def cmd_san(args, out):
     out(f"graft-san {args.algorithm} ({description}) on {args.dataset} "
         f"[{graph.num_vertices} vertices] schedules={args.schedules} "
         f"executor={args.executor} workers={args.workers}")
-    report = run_sanitizer(
-        factory_builder(args),
-        graph,
-        schedules=args.schedules,
-        seed=kwargs.pop("seed"),
-        num_workers=kwargs.pop("num_workers"),
-        executor=kwargs.pop("executor"),
-        **kwargs,
-    )
+    try:
+        report = run_sanitizer(
+            factory_builder(args),
+            graph,
+            schedules=args.schedules,
+            seed=kwargs.pop("seed"),
+            num_workers=kwargs.pop("num_workers"),
+            executor=kwargs.pop("executor"),
+            **kwargs,
+        )
+    except PregelError as exc:
+        return _engine_error(exc, out)
     if args.format == "json":
         out(json.dumps(report.to_dict(), indent=2, default=repr))
     else:

@@ -179,8 +179,10 @@ class PregelEngine:
         Message/state transport: ``True`` forces the columnar data plane
         (packed batches; shared-memory frames under ``processes``),
         ``False`` the classic envelope path, ``None`` (default) picks
-        columnar unless a ``delivery_schedule`` is installed. Results and
-        trace digests are identical either way; see ``docs/columnar.md``.
+        columnar unless a ``delivery_schedule`` is installed (the
+        columnar barrier then materializes envelopes every superstep).
+        Results and trace digests are identical either way; see
+        ``docs/columnar.md``.
     master:
         Optional :class:`~repro.pregel.MasterComputation` instance.
     combiner:
@@ -208,11 +210,6 @@ class PregelEngine:
     checkpoint_config:
         Optional :class:`~repro.pregel.CheckpointConfig`; enables periodic
         checkpoints to the simulated DFS and failure recovery.
-    failure_injections:
-        Optional list of ``(superstep, worker_id)`` simulated machine
-        failures. With checkpointing enabled, each triggers a Pregel-style
-        rollback to the last checkpoint; without it, the job fails with
-        :class:`~repro.pregel.WorkerFailure`.
     fault_injector:
         Optional :class:`~repro.chaos.FaultInjector` (or anything with its
         hook methods). Consulted at deterministic points — superstep start,
@@ -238,7 +235,6 @@ class PregelEngine:
         on_error="raise",
         listeners=None,
         checkpoint_config=None,
-        failure_injections=None,
         fault_injector=None,
         on_message_to_missing="create",
         executor="serial",
@@ -275,12 +271,6 @@ class PregelEngine:
                     "columnar=True cannot be combined with store='spill'; "
                     "the spill plane routes messages through sorted run "
                     "files, not packed column frames"
-                )
-            if delivery_schedule is not None:
-                raise PregelError(
-                    "a delivery_schedule cannot be combined with "
-                    "store='spill'; graft-san permutations operate on the "
-                    "in-memory envelope store"
                 )
             columnar = False
         self._computation_factory = computation_factory
@@ -325,7 +315,7 @@ class PregelEngine:
         self._checkpoint_config = checkpoint_config
         self._fault_injector = fault_injector
         # graft-san: a PermutationSchedule (or compatible object) that
-        # reorders canonicalized inboxes at the barrier. Seeded from the
+        # reorders canonicalized inboxes before delivery. Seeded from the
         # run seed unless it carries its own.
         self._delivery_schedule = (
             delivery_schedule.bind(seed)
@@ -335,13 +325,8 @@ class PregelEngine:
         # Columnar data plane: on by default (None = auto) for every
         # backend — same canonical digests, flat buffers instead of
         # per-envelope objects — except under a graft-san delivery
-        # schedule, which permutes envelope stores and therefore pins the
-        # classic path.
-        if columnar and delivery_schedule is not None:
-            raise PregelError(
-                "columnar=True cannot be combined with a delivery_schedule; "
-                "graft-san permutations operate on the envelope store"
-            )
+        # schedule, which permutes envelope stores: there the envelope
+        # plane is faster than materializing columns every barrier.
         if columnar is None:
             columnar = delivery_schedule is None
         self._columnar = bool(columnar)
@@ -351,10 +336,6 @@ class PregelEngine:
             if self._columnar and self._backend.transfers_state
             else InlineTransport()
         )
-        self._pending_failures = {
-            superstep: worker_id
-            for superstep, worker_id in (failure_injections or [])
-        }
         self._ran = False
         # Populated by run():
         self.workers = []
@@ -614,14 +595,14 @@ class PregelEngine:
             while superstep < self._max_supersteps:
                 if injector is not None:
                     injector.begin_superstep(superstep)
-                failed_worker = self._pending_failures.pop(superstep, None)
-                if failed_worker is None and injector is not None:
                     failed_worker = injector.barrier_crash(superstep)
-                if failed_worker is not None:
-                    if self._checkpoint_config is None:
-                        raise WorkerFailure(failed_worker, superstep)
-                    superstep, incoming = self._rollback(superstep, metrics)
-                    continue
+                    if failed_worker is not None:
+                        if self._checkpoint_config is None:
+                            raise WorkerFailure(failed_worker, superstep)
+                        superstep, incoming = self._rollback(
+                            superstep, metrics
+                        )
+                        continue
                 num_vertices = self.num_vertices
                 num_edges = self.num_edges
                 master_ctx = MasterContext(
@@ -820,57 +801,69 @@ class PregelEngine:
         """Reduce step outcomes in worker-id order.
 
         Every reduction here is a deterministic fold over ``outcomes``
-        (already ordered by worker id): absorb transferred state, merge
-        grouped outboxes, canonicalize inbox order, combine, apply
-        mutations, fold aggregator partials. No step result is consumed in
-        completion order, which is what makes the barrier
-        backend-independent.
+        (already ordered by worker id), so the barrier is
+        backend-independent. The message planes differ only in how they
+        turn the outcomes into the next superstep's message store (the
+        ``_absorb_*`` steps); the tail — graph mutations with the
+        missing-target resolver, the aggregator partial fold, the
+        aggregator barrier — is shared.
         """
-        if self._store is not None:
-            return self._spill_barrier(
-                outcomes, superstep_metrics, payload_collectors
-            )
-        if self._columnar:
-            return self._columnar_barrier(
-                outcomes, superstep_metrics, payload_collectors
-            )
         if self._backend.transfers_state:
             for outcome in outcomes:
-                worker = self.workers[outcome.worker_id]
-                worker.values, worker.edges, worker.halted = outcome.state
                 for listener, payload in zip(payload_collectors, outcome.payloads):
                     listener.absorb_step_payload(outcome.worker_id, payload)
-        outgoing = MessageStore()
-        for outcome in outcomes:
-            outgoing.merge_grouped(outcome.outbox)
-        outgoing.canonicalize()
-        if self._delivery_schedule is not None:
-            # graft-san: re-open the Pregel model's delivery-order freedom.
-            # Runs in the parent over the canonicalized store, so the
-            # permutation is a pure function of (seed, schedule, superstep,
-            # target) — identical across backends and worker counts. The
-            # messages delivered here are consumed one superstep later.
-            superstep_metrics.inboxes_permuted = (
-                self._delivery_schedule.permute_store(
-                    outgoing, superstep_metrics.superstep + 1
-                )
-            )
-        if self._combiner is not None:
-            superstep_metrics.messages_combined = outgoing.combine(self._combiner)
+        if self._store is not None:
+            absorb = self._absorb_spill
+        elif self._columnar:
+            absorb = self._absorb_columnar
+        else:
+            absorb = self._absorb_envelopes
+        outgoing = absorb(outcomes, superstep_metrics)
         self._apply_mutations(outcomes, outgoing)
         for outcome in outcomes:
             self.aggregators.merge_partials(outcome.agg_partials)
         self.aggregators.barrier()
+        if self._store is not None:
+            self._record_store_counters(superstep_metrics)
         return outgoing
 
-    def _columnar_barrier(self, outcomes, superstep_metrics, payload_collectors):
-        """The barrier's columnar twin: absorb frames, keep messages packed.
+    def _permute_and_combine(self, outgoing, superstep_metrics):
+        """graft-san permutation, then the combiner, on an envelope store.
 
-        Same reductions, same worker-id order. Messages stay as packed
-        columns in a :class:`ColumnarMessageStore` unless this barrier
-        must mutate the graph or drop inboxes, in which case the store is
-        materialized to envelopes first (see ``docs/columnar.md`` for the
-        fallback rules).
+        Runs in the parent over the canonicalized store, so the
+        permutation is a pure function of (seed, schedule, superstep,
+        target) — identical across backends and worker counts. The
+        messages delivered here are consumed one superstep later.
+        """
+        (
+            superstep_metrics.inboxes_permuted,
+            superstep_metrics.messages_combined,
+        ) = outgoing.permute_and_combine(
+            self._delivery_schedule,
+            superstep_metrics.superstep + 1,
+            self._combiner,
+        )
+
+    def _absorb_envelopes(self, outcomes, superstep_metrics):
+        """Envelope plane: merge grouped outboxes into canonical order."""
+        transfers = self._backend.transfers_state
+        outgoing = MessageStore()
+        for outcome in outcomes:
+            if transfers:
+                worker = self.workers[outcome.worker_id]
+                worker.values, worker.edges, worker.halted = outcome.state
+            outgoing.merge_grouped(outcome.outbox)
+        outgoing.canonicalize()
+        self._permute_and_combine(outgoing, superstep_metrics)
+        return outgoing
+
+    def _absorb_columnar(self, outcomes, superstep_metrics):
+        """Columnar plane: absorb frames, keep messages packed.
+
+        Messages stay as packed columns in a :class:`ColumnarMessageStore`
+        unless this barrier mutates the graph, drops inboxes or permutes
+        them, in which case the store is materialized to envelopes first
+        (see ``docs/columnar.md`` for the fallback rules).
         """
         run_state = self._run_state
         transfers = self._backend.transfers_state
@@ -893,76 +886,59 @@ class PregelEngine:
                     worker.edges = frame.edges
                 any_dirty |= frame.edges_dirty
                 store.absorb_frame(frame)
-                for listener, payload in zip(payload_collectors, outcome.payloads):
-                    listener.absorb_step_payload(outcome.worker_id, payload)
             else:
                 outbox = outcome.outbox
                 superstep_metrics.transport_batches += outbox.batch_count()
                 any_dirty |= self.workers[outcome.worker_id].edges_dirty
                 store.absorb_outbox(outcome.worker_id, outbox)
-        if any_dirty:
-            # In-place adjacency edits: the reverse index is stale for the
-            # *next* superstep (this superstep's compact broadcasts came
-            # only from clean workers, so expanding them below is safe).
-            run_state.invalidate()
         mutating = any(
             outcome.add_vertex_requests or outcome.remove_vertex_requests
             for outcome in outcomes
         )
-        if self._combiner is not None:
+        if any_dirty or mutating:
+            # In-place adjacency edits or vertex mutations: the reverse
+            # index is stale for the *next* superstep (this superstep's
+            # compact broadcasts came only from clean workers, so
+            # expanding them below is safe).
+            run_state.invalidate()
+        permuting = self._delivery_schedule is not None
+        if self._combiner is not None and not permuting:
             # Folds run on the packed value columns; the result is one
-            # envelope per inbox, so the combined store is an envelope
-            # store and the mutation logic below needs no columnar cases.
-            outgoing, eliminated = store.combine_into(self._combiner)
-            superstep_metrics.messages_combined = eliminated
-            self._apply_mutations(outcomes, outgoing)
-            if mutating:
-                run_state.invalidate()
-        else:
-            missing = store.missing_targets(self._locations)
-            if mutating or (missing and self._on_message_to_missing == "drop"):
-                # Graph-mutating barrier (or inbox drops): materialize to
-                # envelopes while the index still matches emit-time
-                # adjacency, then mutate freely.
-                outgoing = store.to_message_store()
-                self._apply_mutations(outcomes, outgoing)
-                run_state.invalidate()
-            else:
-                outgoing = store
-                if missing:
-                    # Pure message-driven creation (Giraph's default
-                    # resolver): new vertices have no edges, so the index
-                    # stays valid and messages stay packed.
-                    for target in sorted(missing, key=repr):
-                        worker_index = self._partitioner.worker_for(target)
-                        default = self._computations[
-                            worker_index
-                        ].default_vertex_value(target)
-                        self._create_vertex(target, default)
-        for outcome in outcomes:
-            self.aggregators.merge_partials(outcome.agg_partials)
-        self.aggregators.barrier()
+            # envelope per inbox, so the mutation tail needs no columnar
+            # cases.
+            outgoing, superstep_metrics.messages_combined = (
+                store.combine_into(self._combiner)
+            )
+            return outgoing
+        if not (permuting or mutating or (
+            self._on_message_to_missing == "drop"
+            and store.missing_targets(self._locations)
+        )):
+            # At most message-driven creation (Giraph's default resolver):
+            # new vertices have no edges, so the index stays valid and
+            # messages stay packed.
+            return store
+        # Materialize while the index still matches emit-time adjacency,
+        # then permute, combine and mutate freely.
+        outgoing = store.to_message_store()
+        self._permute_and_combine(outgoing, superstep_metrics)
         return outgoing
 
-    def _spill_barrier(self, outcomes, superstep_metrics, payload_collectors):
-        """The barrier's out-of-core twin: absorb pages, hand off runs.
+    def _absorb_spill(self, outcomes, superstep_metrics):
+        """Spill plane: install shipped pages and runs, hand off the runs.
 
-        Same reductions in the same worker-id order as the in-memory
-        barrier. Messages were already routed into sorted per-partition
-        run files during the steps (canonicalization is the merge order
-        of the runs, see :mod:`repro.pregel.store.runs`); combining
-        happens lazily when the next superstep loads each partition, so
-        the eliminations reported here were accounted by *this*
-        superstep's loads.
+        Messages were already routed into sorted per-partition run files
+        during the steps; canonical order is the runs' merge order (see
+        :mod:`repro.pregel.store.runs`). Permuting and combining happen
+        when the next superstep loads each partition, so the counts
+        reported here were accounted by *this* superstep's loads.
         """
         store = self._store
         transfers = self._backend.transfers_state
         superstep = superstep_metrics.superstep
         superstep_metrics.transport = "spill"
         routed = 0
-        combined = 0
-        suspects = set()
-        suspect_counts = {}
+        suspects = {}
         for outcome in outcomes:
             if transfers:
                 shipped = outcome.state
@@ -971,41 +947,33 @@ class PregelEngine:
                     store.replace_partition(partition_id, values, edges, halted)
                 for path, data in shipped["runs"]:
                     store.install_run_file(path, data)
-                routed += shipped["routed"]
-                for target, count in shipped["suspect_counts"].items():
-                    suspect_counts[target] = (
-                        suspect_counts.get(target, 0) + count
-                    )
-                suspects |= shipped["suspects"]
-                combined += shipped["messages_combined"]
-                for listener, payload in zip(
-                    payload_collectors, outcome.payloads
-                ):
-                    listener.absorb_step_payload(outcome.worker_id, payload)
             else:
-                worker = self.workers[outcome.worker_id]
-                router = worker.router
-                if router is not None:
-                    routed += router.count
-                    for target, count in router.suspect_counts.items():
-                        suspect_counts[target] = (
-                            suspect_counts.get(target, 0) + count
-                        )
-                    suspects |= router.suspects
-                combined += worker.messages_combined
-        superstep_metrics.messages_combined = combined
-        outgoing = store.message_store(
-            superstep + 1, total_messages=routed, combiner=self._combiner
-        )
-        self._apply_spill_mutations(
-            outcomes, outgoing, suspects, suspect_counts
-        )
-        for outcome in outcomes:
-            self.aggregators.merge_partials(outcome.agg_partials)
-        self.aggregators.barrier()
+                shipped = self.workers[outcome.worker_id].spill_counts()
+            routed += shipped["routed"]
+            superstep_metrics.messages_combined += shipped["messages_combined"]
+            superstep_metrics.inboxes_permuted += shipped["inboxes_permuted"]
+            for target, count in shipped["suspect_counts"].items():
+                suspects[target] = suspects.get(target, 0) + count
         # This superstep's inbox runs are fully consumed; the next
         # rollback restores messages from a checkpoint, never from here.
         store.clear_runs(superstep)
+        return store.message_store(
+            superstep + 1,
+            total_messages=routed,
+            combiner=self._combiner,
+            schedule=self._delivery_schedule,
+            partitioner=self._partitioner,
+            suspects=suspects,
+            removed=[
+                vertex_id
+                for outcome in outcomes
+                for vertex_id in outcome.remove_vertex_requests
+            ],
+        )
+
+    def _record_store_counters(self, superstep_metrics):
+        """Spill I/O and page-cache deltas since the previous barrier."""
+        store = self._store
         counters = store.counters()
         before = self._store_counters or counters
         superstep_metrics.store_bytes_spilled = (
@@ -1022,58 +990,14 @@ class PregelEngine:
         )
         self._store_counters = counters
         superstep_metrics.partitions_resident = store.resident_partitions()
-        return outgoing
-
-    def _apply_spill_mutations(self, outcomes, outgoing, suspects,
-                               suspect_counts):
-        """Removals, then additions, then message-driven vertex creation.
-
-        The resolver's work list is built incrementally: routers record
-        emit-time suspects (targets not in ``_locations`` when the message
-        was sent); vertices *removed at this barrier* passed that check,
-        so their in-flight messages are counted with a run scan of just
-        their partitions. The re-check against ``_locations`` below then
-        sees the post-mutation graph, exactly like the in-memory
-        ``missing_targets`` scan.
-        """
-        removed = []
-        for outcome in outcomes:
-            for vertex_id in outcome.remove_vertex_requests:
-                location = self._locations.pop(vertex_id, None)
-                if location is not None:
-                    self.workers[location].remove_vertex(vertex_id)
-                    removed.append(vertex_id)
-        for outcome in outcomes:
-            for vertex_id, value in outcome.add_vertex_requests:
-                if vertex_id not in self._locations:
-                    self._create_vertex(vertex_id, value)
-        removed_missing = [
-            vertex_id for vertex_id in removed
-            if vertex_id not in self._locations
-        ]
-        if removed_missing:
-            for target, count in outgoing.count_targets(
-                self._partitioner, removed_missing
-            ).items():
-                suspects.add(target)
-                suspect_counts[target] = suspect_counts.get(target, 0) + count
-        missing = sorted(
-            (target for target in suspects if target not in self._locations),
-            key=repr,
-        )
-        if self._on_message_to_missing == "create":
-            for target in missing:
-                worker_index = self._partitioner.worker_for(target)
-                default = self._computations[
-                    worker_index
-                ].default_vertex_value(target)
-                self._create_vertex(target, default)
-        else:
-            for target in missing:
-                outgoing.drop_target(target, suspect_counts.get(target, 0))
 
     def _apply_mutations(self, outcomes, outgoing):
-        """Removals, then additions, then message-driven vertex creation."""
+        """Removals, then additions, then message-driven vertex creation.
+
+        ``outgoing`` is any plane's message store; it answers
+        ``missing_targets(locations)`` against the post-mutation graph and
+        ``drop_inbox(target)`` for the ``drop`` policy.
+        """
         for outcome in outcomes:
             for vertex_id in outcome.remove_vertex_requests:
                 location = self._locations.pop(vertex_id, None)
@@ -1085,7 +1009,7 @@ class PregelEngine:
                     self._create_vertex(vertex_id, value)
         # Repr-sorted so creation order — and therefore compute order on
         # the owning worker — is independent of partitioning and of the
-        # columnar/envelope transport choice.
+        # message plane.
         missing = sorted(
             outgoing.missing_targets(self._locations), key=repr
         )

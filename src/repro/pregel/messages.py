@@ -92,6 +92,11 @@ class MessageStore:
     def __init__(self):
         self._by_target = {}
         self.total_messages = 0
+        # Delivery-time work done on a loaded spill partition, for the
+        # consuming worker to report; the in-memory barrier reports the
+        # same work on its superstep metrics instead, so stays zero here.
+        self.inboxes_permuted = 0
+        self.eliminated = 0
 
     def deliver(self, envelope):
         """Add one envelope to its destination's inbox."""
@@ -163,16 +168,9 @@ class MessageStore:
     def load_partition(self, partition_id):
         """Partition-at-a-time read protocol: the in-memory store holds
         every partition's inbox at once, so the "loaded view" is the store
-        itself. The spill plane's store returns a per-partition view here.
+        itself. The spill plane's store builds one store per partition.
         """
         return self
-
-    @property
-    def eliminated(self):
-        """Combiner eliminations attributable to a loaded view (spill
-        plane); the in-memory store combines at the producing barrier and
-        reports eliminations there, so views report zero."""
-        return 0
 
     def iter_checkpoint_messages(self):
         """``(source, target, value)`` for every in-flight message, in
@@ -201,22 +199,39 @@ class MessageStore:
         return len(dropped)
 
     def combine(self, combiner):
-        """Fold each inbox with ``combiner``, in delivery order.
+        """Fold each inbox with ``combiner.fold_column``, in delivery order.
 
         Returns the number of messages eliminated. Combined envelopes lose
         their source id (set to None), as on a real cluster where combining
         happens before the network.
         """
         eliminated = 0
-        for target, envelopes in self._by_target.items():
+        by_target = self._by_target
+        for target, envelopes in by_target.items():
             if len(envelopes) <= 1:
                 continue
-            folded = envelopes[0].value
-            for envelope in envelopes[1:]:
-                folded = combiner.combine(folded, envelope.value)
+            folded = combiner.fold_column(
+                [envelope.value for envelope in envelopes]
+            )
             eliminated += len(envelopes) - 1
-            self._by_target[target] = [
+            by_target[target] = [
                 Envelope(source=None, target=target, value=folded)
             ]
         self.total_messages -= eliminated
         return eliminated
+
+    def permute_and_combine(self, schedule, superstep, combiner):
+        """Delivery-time work every plane does after canonical order.
+
+        The graft-san ``schedule`` (if any) shuffles each inbox at the
+        ``(seed, schedule, superstep, target)`` coordinates of the delivery
+        ``superstep``; the combiner (if any) then folds the permuted order.
+        Returns ``(inboxes_permuted, messages_eliminated)``.
+        """
+        permuted = (
+            schedule.permute_store(self, superstep)
+            if schedule is not None
+            else 0
+        )
+        eliminated = self.combine(combiner) if combiner is not None else 0
+        return permuted, eliminated

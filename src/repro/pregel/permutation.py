@@ -15,10 +15,11 @@ order-insensitive. The sanitizer (:mod:`repro.graft.sanitizer`) turns
 that contrast into verdicts.
 
 Schedule 0 is the identity (canonical order); schedules 1, 2, ... are
-distinct deterministic shuffles. The engine applies the schedule at the
-barrier, *after* canonicalization and *before* combining — so combiner
-folds experience the permuted order too, exercising GL015's hazard class
-along with GL016–GL018's.
+distinct deterministic shuffles. Every message plane applies the schedule
+*after* canonicalization and *before* combining — the in-memory planes at
+the producing barrier, the spill plane when a partition's inbox loads —
+so combiner folds experience the permuted order too, exercising GL015's
+hazard class along with GL016–GL018's.
 """
 
 from repro.common.rng import derive_rng
@@ -61,9 +62,11 @@ class PermutationSchedule:
     def permute_store(self, store, superstep):
         """Permute every inbox of a message store for one delivery superstep.
 
-        Called at the barrier on the canonicalized store, in the parent
-        process — so the permutation is identical whichever backend ran
-        the workers. Returns the number of inboxes whose order changed.
+        Called on a canonicalized envelope store: the whole outgoing store
+        at an in-memory barrier, or one loaded spill partition. The
+        shuffle depends only on its coordinates, so it is identical
+        whichever backend, plane or partition ran it. Returns the number
+        of inboxes whose order changed.
         """
         if self.schedule == 0:
             return 0

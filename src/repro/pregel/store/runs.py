@@ -26,7 +26,7 @@ import pickle
 import threading
 
 from repro.common.errors import PregelError
-from repro.pregel.messages import Envelope
+from repro.pregel.messages import Envelope, MessageStore, group_by_target
 from repro.pregel.store.pages import iter_frames
 from repro.simfs.writers import BlockWriter
 
@@ -74,8 +74,8 @@ class RunRouter:
     are file-relative, so the bytes are position-independent.
 
     The router also fills the resolver's work list as it goes: a target
-    absent from ``locations`` *at emit time* is recorded as a suspect
-    with its message count. The barrier re-checks suspects after graph
+    absent from ``locations`` *at emit time* is counted in
+    ``suspect_counts``. The barrier re-checks suspects after graph
     mutations, so a vertex created at the same barrier still receives
     its messages, exactly as the in-memory plane's
     ``missing_targets`` scan behaves.
@@ -102,7 +102,6 @@ class RunRouter:
         self._buffered = 0
         self._writers = {}
         self.count = 0
-        self.suspects = set()
         self.suspect_counts = {}
         self._sealed = False
 
@@ -114,7 +113,6 @@ class RunRouter:
         else:
             batch.append((source, target, value))
         if target not in self._locations:
-            self.suspects.add(target)
             self.suspect_counts[target] = (
                 self.suspect_counts.get(target, 0) + 1
             )
@@ -225,116 +223,99 @@ def count_run_targets(filesystem, base, superstep, partitioner, vertex_ids):
     return counts
 
 
-class _PartitionInbox:
-    """One partition's merged, canonically ordered inboxes.
-
-    Implements the message-store read protocol
-    (``inbox_values`` / ``incoming_view`` / ``has_inbox`` / ``inbox``)
-    over a partition-local dict, so the worker's inner compute loop is
-    identical under both planes. Each worker gets its own view — there
-    is no shared mutable cursor, which keeps the threads backend safe.
-    """
-
-    __slots__ = ("partition_id", "_by_target", "eliminated")
-
-    def __init__(self, partition_id, by_target, eliminated):
-        self.partition_id = partition_id
-        self._by_target = by_target
-        self.eliminated = eliminated
-
-    def inbox(self, vertex_id):
-        return self._by_target.get(vertex_id, [])
-
-    def inbox_values(self, vertex_id):
-        batch = self._by_target.get(vertex_id)
-        if batch is None:
-            return []
-        return [envelope.value for envelope in batch]
-
-    def incoming_view(self, vertex_id):
-        return self._by_target.get(vertex_id, [])
-
-    def has_inbox(self, vertex_id):
-        return vertex_id in self._by_target
-
-    def targets(self):
-        return self._by_target.keys()
-
-
 class SpilledMessageStore:
     """The spill plane's superstep message store.
 
     Holds no message bytes itself — only the identity of the run
-    directory, the routed-message total, and the resolver's dropped set.
-    :meth:`load_partition` performs the merge for one partition and
-    returns a :class:`_PartitionInbox`; the combiner (when configured)
-    folds each multi-message inbox at load time, in canonical order,
-    with the combined envelope losing its source — the exact semantics
-    of :meth:`MessageStore.combine`.
+    directory, the routed-message total, and the resolver's state.
+    :meth:`load_partition` merges one partition's runs into a plain
+    :class:`~repro.pregel.messages.MessageStore`, so the worker's compute
+    loop, the graft-san permutation and the combiner fold are the ones
+    the in-memory plane uses.
+
+    The barrier's resolver asks the same ``missing_targets`` /
+    ``drop_inbox`` questions as of an in-memory store. ``suspects`` maps
+    each target that was absent at emit time to its message count (the
+    routers record them); ``removed`` lists the barrier's removal
+    requests, whose in-flight messages passed that emit-time check and
+    are counted with a run scan of just their partitions.
     """
 
     def __init__(self, filesystem, base, superstep, num_partitions,
-                 total_messages=0, combiner=None):
+                 total_messages=0, combiner=None, schedule=None,
+                 partitioner=None, suspects=None, removed=()):
         self.filesystem = filesystem
         self.base = base
         self.superstep = superstep
         self.num_partitions = num_partitions
         self.total_messages = total_messages
         self._combiner = combiner
+        self._schedule = schedule
+        self._partitioner = partitioner
+        self._target_counts = dict(suspects or {})
+        self._removed = removed
         self._dropped = set()
 
     def load_partition(self, partition_id):
-        by_target = {}
+        """One partition's inbox as a plain :class:`MessageStore`.
+
+        Built from the canonical k-way run merge, then permuted by the
+        graft-san schedule at this delivery superstep's coordinates and
+        combined, exactly as the in-memory barrier does. The returned
+        store's ``inboxes_permuted`` and ``eliminated`` count that work
+        for the consuming worker.
+        """
         dropped = self._dropped
-        for source, target, value in iter_partition_triples(
-            self.filesystem, self.base, self.superstep, partition_id
-        ):
-            if target in dropped:
-                continue
-            envelope = Envelope(source=source, target=target, value=value)
-            batch = by_target.get(target)
-            if batch is None:
-                by_target[target] = [envelope]
-            else:
-                batch.append(envelope)
-        eliminated = 0
-        combiner = self._combiner
-        if combiner is not None:
-            for target, envelopes in by_target.items():
-                if len(envelopes) <= 1:
-                    continue
-                folded = envelopes[0].value
-                for envelope in envelopes[1:]:
-                    folded = combiner.combine(folded, envelope.value)
-                eliminated += len(envelopes) - 1
-                by_target[target] = [
-                    Envelope(source=None, target=target, value=folded)
-                ]
-        return _PartitionInbox(partition_id, by_target, eliminated)
+        view = MessageStore()
+        view.merge_grouped(group_by_target(
+            Envelope(source, target, value)
+            for source, target, value in iter_partition_triples(
+                self.filesystem, self.base, self.superstep, partition_id
+            )
+            if target not in dropped
+        ))
+        view.inboxes_permuted, view.eliminated = view.permute_and_combine(
+            self._schedule, self.superstep, self._combiner
+        )
+        return view
 
     def has_messages(self):
         return self.total_messages > 0
 
-    def drop_target(self, target, count):
-        """Resolver policy ``drop``: discard a missing target's messages."""
-        self._dropped.add(target)
-        self.total_messages -= count
+    def missing_targets(self, locations):
+        """Targets with messages but no vertex (the resolver's work list).
 
-    def count_targets(self, partitioner, vertex_ids):
-        return count_run_targets(
-            self.filesystem, self.base, self.superstep, partitioner,
-            vertex_ids,
-        )
+        Called after the barrier's removals and additions, so a suspect
+        created at the same barrier still receives its messages.
+        """
+        counts = self._target_counts
+        removed = [
+            vertex_id for vertex_id in self._removed
+            if vertex_id not in locations and vertex_id not in counts
+        ]
+        if removed:
+            counts.update(count_run_targets(
+                self.filesystem, self.base, self.superstep,
+                self._partitioner, removed,
+            ))
+        return [target for target in counts if target not in locations]
+
+    def drop_inbox(self, vertex_id):
+        """Resolver policy ``drop``: discard a missing target's messages."""
+        self._dropped.add(vertex_id)
+        dropped = self._target_counts.pop(vertex_id, 0)
+        self.total_messages -= dropped
+        return dropped
 
     def iter_checkpoint_messages(self):
         """``(source, target, value)`` for every undropped in-flight message.
 
-        Per-target order is the canonical merged order, which is what a
-        checkpoint must preserve: restore re-delivers in file order and
-        the re-executed superstep consumes inboxes as delivered.
+        Per-target order is the delivered order (canonical, then
+        permuted and combined), which is what a checkpoint must preserve:
+        restore re-delivers in file order and the re-executed superstep
+        consumes inboxes as delivered.
         """
         for partition_id in range(self.num_partitions):
-            view = self.load_partition(partition_id)
-            for target in view.targets():
-                for envelope in view.inbox(target):
-                    yield envelope.source, target, envelope.value
+            yield from self.load_partition(
+                partition_id
+            ).iter_checkpoint_messages()

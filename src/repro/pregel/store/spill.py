@@ -378,10 +378,12 @@ class SpillStore:
             locations, lock=self.lock, deferred=deferred,
         )
 
-    def message_store(self, superstep, total_messages=0, combiner=None):
+    def message_store(self, superstep, **options):
+        """The delivery store for ``superstep``'s runs; ``options`` are
+        :class:`SpilledMessageStore`'s keyword arguments."""
         return SpilledMessageStore(
             self.filesystem, self.base, superstep, self.num_partitions,
-            total_messages=total_messages, combiner=combiner,
+            **options,
         )
 
     def clear_runs(self, superstep):

@@ -411,6 +411,7 @@ class SpilledWorker(Worker):
         self.deferred_runs = False
         self.router = None
         self.messages_combined = 0
+        self.inboxes_permuted = 0
         self._partitions = ()
 
     def attach_spill(self, store, partitioner, locations, deferred=False):
@@ -439,6 +440,7 @@ class SpilledWorker(Worker):
         super().prepare_superstep(aggregators, columnar=False)
         self._services = self._spill_services
         self.messages_combined = 0
+        self.inboxes_permuted = 0
         self.router = None
 
     def run_superstep(
@@ -478,6 +480,7 @@ class SpilledWorker(Worker):
                 )
             finally:
                 self.messages_combined += view.eliminated
+                self.inboxes_permuted += view.inboxes_permuted
                 store.release(partition_id, dirty=True)
         computation.post_superstep(worker_info)
         self.router.seal()
@@ -488,19 +491,26 @@ class SpilledWorker(Worker):
         # through the compute context before they reach the router.
         return []
 
-    def collect_spill_state(self):
-        """Everything the process backend must ship back to the parent."""
+    def spill_counts(self):
+        """This superstep's routing and delivery counts for the barrier."""
         router = self.router
         return {
-            "pages": self.store.collect_dirty(self._partitions),
-            "runs": router.shipped_files() if router is not None else [],
             "routed": router.count if router is not None else 0,
-            "suspects": router.suspects if router is not None else set(),
             "suspect_counts": (
                 router.suspect_counts if router is not None else {}
             ),
             "messages_combined": self.messages_combined,
+            "inboxes_permuted": self.inboxes_permuted,
         }
+
+    def collect_spill_state(self):
+        """Everything the process backend must ship back to the parent."""
+        router = self.router
+        return dict(
+            self.spill_counts(),
+            pages=self.store.collect_dirty(self._partitions),
+            runs=router.shipped_files() if router is not None else [],
+        )
 
     # -- state access through the store ------------------------------------
 

@@ -15,12 +15,10 @@ import hashlib
 import pytest
 
 from repro.algorithms import PageRank, ShortestPaths
-from repro.common.errors import PregelError
 from repro.datasets import load_dataset
 from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.trace import canonical_trace_digest, worker_trace_path
-from repro.pregel import Computation, MinCombiner, PregelEngine
-from repro.pregel.permutation import PermutationSchedule
+from repro.pregel import Computation, MinCombiner
 
 WORKER_COUNTS = (1, 2, 4)
 EXECUTORS = ("serial", "processes")
@@ -59,6 +57,33 @@ class TopologyChurn(Computation):
             ctx.vote_to_halt()
 
 
+class SelfRemoval(Computation):
+    """Vertices remove themselves while their neighbours keep messaging.
+
+    Every fifth vertex requests its own removal in superstep 1 while all
+    vertices broadcast through superstep 2. The removing barrier finds
+    messages already in flight to the removed vertices (on the spill
+    plane, the resolver's removed-vertex run scan), and superstep 2
+    messages address vertices that are gone — or were recreated, under
+    the ``create`` policy.
+    """
+
+    def initial_value(self, vertex_id, input_value):
+        return 0.0
+
+    def default_vertex_value(self, vertex_id):
+        return -1.0
+
+    def compute(self, ctx, messages):
+        ctx.set_value(ctx.value + float(sum(messages)))
+        if ctx.superstep == 1 and ctx.vertex_id % 5 == 0:
+            ctx.remove_vertex_request(ctx.vertex_id)
+        if ctx.superstep <= 2:
+            ctx.send_message_to_all_neighbors(1.0)
+        else:
+            ctx.vote_to_halt()
+
+
 class TuplePing(Computation):
     """Sends tuple payloads — no packed column exists for them.
 
@@ -85,6 +110,8 @@ JOBS = {
     "pagerank": (lambda: PageRank(iterations=4), {}),
     "sssp_combined": (lambda: ShortestPaths(0), {"combiner": MinCombiner()}),
     "mutation": (TopologyChurn, {}),
+    "removal": (SelfRemoval, {}),
+    "removal_drop": (SelfRemoval, {"on_message_to_missing": "drop"}),
     "tuple_fallback": (TuplePing, {}),
 }
 
@@ -169,13 +196,3 @@ def test_columnar_digest_stable_across_worker_counts(job):
     }
     assert len(set(digests.values())) == 1, digests
 
-
-def test_columnar_rejects_delivery_schedule():
-    """graft-san permutations need envelopes; forcing both is an error."""
-    with pytest.raises(PregelError, match="columnar"):
-        PregelEngine(
-            PageRank,
-            _graph(),
-            columnar=True,
-            delivery_schedule=PermutationSchedule(schedule=1),
-        )

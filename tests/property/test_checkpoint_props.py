@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import PageRank, RandomWalk
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.datasets import erdos_renyi
 from repro.pregel import CheckpointConfig, run_computation
 from repro.simfs import SimFileSystem
+
+
+def _crash(superstep, worker_id):
+    return FaultInjector(FaultPlan("worker-crash", [
+        FaultSpec("worker_crash", superstep=superstep, worker_id=worker_id)
+    ]))
 
 
 class TestRecoveryTransparency:
@@ -32,7 +39,7 @@ class TestRecoveryTransparency:
             checkpoint_config=CheckpointConfig(
                 SimFileSystem(), every_n_supersteps=interval
             ),
-            failure_injections=[(fail_at, worker)],
+            fault_injector=_crash(fail_at, worker),
         )
         assert recovered.recoveries == 1
         assert recovered.vertex_values == baseline.vertex_values
@@ -53,6 +60,6 @@ class TestRecoveryTransparency:
             checkpoint_config=CheckpointConfig(
                 SimFileSystem(), every_n_supersteps=interval
             ),
-            failure_injections=[(fail_at, 0)],
+            fault_injector=_crash(fail_at, 0),
         )
         assert recovered.vertex_values == baseline.vertex_values

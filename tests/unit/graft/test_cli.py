@@ -117,6 +117,28 @@ class TestDebugCommand:
         assert "superstep 2" in output
 
 
+class TestEngineConfigurationErrors:
+    """Configurations the engine refuses end in one line and exit 2."""
+
+    def test_debug_spill_with_columnar(self):
+        status, output = run_cli(
+            "debug", "--algorithm", "pagerank", "--dataset", "web-BS",
+            "--vertices", "30", "--store", "spill", "--columnar",
+        )
+        assert status == 2
+        assert output.startswith("error: ")
+        assert "columnar" in output
+        assert "\n" not in output
+
+    def test_run_with_zero_superstep_budget(self):
+        status, output = run_cli(
+            "run", "--algorithm", "pagerank", "--dataset", "web-BS",
+            "--vertices", "30", "--max-supersteps", "0",
+        )
+        assert status == 2
+        assert output == "error: max_supersteps must be positive, got 0"
+
+
 class TestInputFileOption:
     def test_run_from_local_adjacency_file(self, tmp_path):
         from repro.datasets import premade_graph

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import GCMaster, GraphColoring, PageRank, RandomWalk
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.common.errors import PregelError
 from repro.datasets import premade_graph
 from repro.graph import GraphBuilder
@@ -13,6 +14,15 @@ from repro.simfs import SimFileSystem
 
 def chain(n=6):
     return GraphBuilder(directed=False).path(*range(n)).build()
+
+
+def _crashes(*failures):
+    """A fault injector that kills ``worker_id`` at each ``superstep``'s
+    barrier, once per ``(superstep, worker_id)`` pair."""
+    return FaultInjector(FaultPlan("worker-crash", [
+        FaultSpec("worker_crash", superstep=superstep, worker_id=worker_id)
+        for superstep, worker_id in failures
+    ]))
 
 
 class TestCheckpointConfig:
@@ -60,7 +70,7 @@ class TestFailureRecovery:
             run_computation(
                 lambda: PageRank(iterations=6),
                 chain(),
-                failure_injections=[(3, 1)],
+                fault_injector=_crashes((3, 1)),
             )
         assert info.value.superstep == 3
 
@@ -71,7 +81,7 @@ class TestFailureRecovery:
             chain(),
             seed=5,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=3),
-            failure_injections=[(5, 2)],
+            fault_injector=_crashes((5, 2)),
         )
         assert recovered.recoveries == 1
         assert recovered.vertex_values == baseline.vertex_values
@@ -85,7 +95,7 @@ class TestFailureRecovery:
             graph,
             seed=9,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=2),
-            failure_injections=[(4, 0)],
+            fault_injector=_crashes((4, 0)),
         )
         assert recovered.vertex_values == baseline.vertex_values
 
@@ -101,7 +111,7 @@ class TestFailureRecovery:
             seed=2,
             max_supersteps=200,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=4),
-            failure_injections=[(7, 1)],
+            fault_injector=_crashes((7, 1)),
         )
         assert recovered.recoveries == 1
         assert recovered.vertex_values == baseline.vertex_values
@@ -113,7 +123,7 @@ class TestFailureRecovery:
             chain(),
             seed=1,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=2),
-            failure_injections=[(3, 0), (7, 2)],
+            fault_injector=_crashes((3, 0), (7, 2)),
         )
         assert recovered.recoveries == 2
         assert recovered.vertex_values == baseline.vertex_values
@@ -125,7 +135,7 @@ class TestFailureRecovery:
             chain(),
             seed=1,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=100),
-            failure_injections=[(0, 1)],
+            fault_injector=_crashes((0, 1)),
         )
         assert recovered.recoveries == 1
         assert recovered.vertex_values == baseline.vertex_values
@@ -137,7 +147,7 @@ class TestFailureRecovery:
             chain(),
             seed=5,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=3),
-            failure_injections=[(5, 2)],
+            fault_injector=_crashes((5, 2)),
         )
         # Rollback re-runs supersteps, so more compute happened overall...
         assert (
@@ -166,7 +176,7 @@ class TestGraftUnderRecovery:
             CaptureAllActiveConfig(),
             seed=5,
             checkpoint_config=CheckpointConfig(SimFileSystem(), every_n_supersteps=2),
-            failure_injections=[(3, 1)],
+            fault_injector=_crashes((3, 1)),
         )
         assert recovered.ok
         assert recovered.result.recoveries == 1
